@@ -47,10 +47,12 @@ bench:
 # coherence benchmarks against BENCH_coherence.json, the seq-vs-
 # parallel engine benchmarks plus the SoA-vs-AoS cache hot-path pair
 # against BENCH_sim.json, and the incremental clustering per-event
-# benchmarks against BENCH_clustering.json. Fails when a benchmark
+# benchmarks against BENCH_clustering.json, and the generator Next
+# benchmarks against BENCH_workloads.json. Fails when a benchmark
 # regresses past tolerance, a speedup pair drops below its required
 # minimum, or a scaling pair exceeds its max_ratio ceiling (per-event
-# cost at 100k threads must stay within 8x of 1k); the parallel-engine
+# cost at 100k threads must stay within 8x of 1k; a B-tree generator's
+# Next within 2x of the synthetic scoreboard's); the parallel-engine
 # speedup gate only applies on hosts with at least min_cores cores
 # (benchcmp skips it below that). The BENCH_sim pipelines concatenate
 # two `go test -bench` runs — the machine-level engine pair from
@@ -64,6 +66,8 @@ bench-compare:
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json
+	$(GO) test -run '^$$' -bench '(Synthetic|JBB|Rubis)GeneratorNext' -benchtime 1s ./internal/workloads \
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_workloads.json
 
 # Refresh the committed baselines from this machine.
 bench-baseline:
@@ -74,6 +78,8 @@ bench-baseline:
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json -update
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json -update
+	$(GO) test -run '^$$' -bench '(Synthetic|JBB|Rubis)GeneratorNext' -benchtime 1s ./internal/workloads \
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_workloads.json -update
 
 # Report-only benchmark smoke: runs the guarded benchmarks through
 # benchcmp -report, which prints every comparison against the committed
@@ -87,6 +93,8 @@ bench-smoke:
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json -report
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json -report
+	$(GO) test -run '^$$' -bench '(Synthetic|JBB|Rubis)GeneratorNext' -benchtime 1s ./internal/workloads \
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_workloads.json -report
 
 # Saturation sweep (tcsim bench-sweep): time the scoreboard workload
 # over a chips x cores-per-chip x intensity grid under both engines and

@@ -8,6 +8,11 @@
 //	tcsim -exp fig6                # one experiment
 //	tcsim -exp fig3 -workload rubis
 //	tcsim -exp fig5 -seed 7
+//	tcsim -exp fig3 -warm 5 -engine-rounds 5 -measure 5   # quick drive
+//
+// -warm, -engine-rounds and -measure override the round counts of the
+// warm-up, engine and measured phases; -engine picks the execution
+// engine (seq|parallel), not a round count.
 //
 // Paper experiments: table1, fig1, fig3, fig5, fig6, fig7, fig8,
 // spatial, scale32, sdar. Extension studies: ablation, threshold,
@@ -55,8 +60,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"threadcluster/internal/cache"
@@ -94,57 +101,23 @@ func main() {
 			return
 		}
 	}
-	var (
-		exp       = flag.String("exp", "all", "experiment to run: table1|fig1|fig3|fig5|fig6|fig7|fig8|spatial|scale32|sdar|ablation|pagevspmu|threshold|numa|phase|contention|migration|multiprog|smt|mux|probe|staged|churn|streaming|all")
-		workload  = flag.String("workload", experiments.Volano, "workload for fig3: microbenchmark|volano|specjbb|rubis")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		warm      = flag.Int("warm", 0, "override warm-up rounds (0 = default)")
-		measure   = flag.Int("measure", 0, "override measured rounds (0 = default)")
-		markdown  = flag.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
-		coherence = flag.String("coherence", "directory", "cache-coherence implementation: directory|broadcast (results are identical; directory is faster)")
-		engine    = flag.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
-		cluster   = flag.String("cluster", "batch", "clustering path: batch (from-scratch per detection)|dense|sketch (incremental)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	)
-	flag.Parse()
-
-	opt := experiments.DefaultOptions()
-	opt.Seed = *seed
-	if *warm > 0 {
-		opt.WarmRounds = *warm
-	}
-	if *measure > 0 {
-		opt.MeasureRounds = *measure
-	}
-	mode, err := cache.ParseCoherenceMode(*coherence)
+	cli, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcsim:", err)
-		os.Exit(2)
-	}
-	opt.Coherence = mode
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcsim:", err)
-		os.Exit(2)
-	}
-	opt.Engine = eng
-	if *cluster != "batch" {
-		opt.ClusterMode = *cluster
-		if _, err := experiments.EngineConfigFor(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "tcsim:", err)
-			os.Exit(2)
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
 		}
+		fmt.Fprintln(os.Stderr, "tcsim:", err)
+		os.Exit(2)
 	}
 
-	stopCPU, err := startCPUProfile(*cpuprof)
+	stopCPU, err := startCPUProfile(cli.cpuprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	runErr := run(context.Background(), *exp, *workload, opt, *markdown)
+	runErr := run(context.Background(), cli.exp, cli.workload, cli.opt, cli.markdown)
 	stopCPU()
-	if err := writeMemProfile(*memprof); err != nil {
+	if err := writeMemProfile(cli.memprof); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -152,6 +125,69 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcsim:", runErr)
 		os.Exit(1)
 	}
+}
+
+// cliFlags is the parsed experiment mode (no subcommand).
+type cliFlags struct {
+	exp, workload    string
+	markdown         bool
+	cpuprof, memprof string
+	opt              experiments.Options
+}
+
+// parseFlags parses the experiment-mode flags into experiments.Options.
+func parseFlags(args []string, stderr io.Writer) (cliFlags, error) {
+	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp          = fs.String("exp", "all", "experiment to run: table1|fig1|fig3|fig5|fig6|fig7|fig8|spatial|scale32|sdar|ablation|pagevspmu|threshold|numa|phase|contention|migration|multiprog|smt|mux|probe|staged|churn|streaming|all")
+		workload     = fs.String("workload", experiments.Volano, "workload for fig3: microbenchmark|volano|specjbb|rubis")
+		seed         = fs.Int64("seed", 1, "simulation seed")
+		warm         = fs.Int("warm", 0, "override warm-up rounds (0 = default)")
+		engineRounds = fs.Int("engine-rounds", 0, "override engine rounds (0 = default)")
+		measure      = fs.Int("measure", 0, "override measured rounds (0 = default)")
+		markdown     = fs.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
+		coherence    = fs.String("coherence", "directory", "cache-coherence implementation: directory|broadcast (results are identical; directory is faster)")
+		engine       = fs.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
+		cluster      = fs.String("cluster", "batch", "clustering path: batch (from-scratch per detection)|dense|sketch (incremental)")
+		cpuprof      = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof      = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return cliFlags{}, err
+	}
+
+	opt := experiments.DefaultOptions()
+	opt.Seed = *seed
+	if *warm > 0 {
+		opt.WarmRounds = *warm
+	}
+	if *engineRounds > 0 {
+		opt.EngineRounds = *engineRounds
+	}
+	if *measure > 0 {
+		opt.MeasureRounds = *measure
+	}
+	mode, err := cache.ParseCoherenceMode(*coherence)
+	if err != nil {
+		return cliFlags{}, err
+	}
+	opt.Coherence = mode
+	eng, err := sim.ParseEngine(*engine)
+	if err != nil {
+		return cliFlags{}, err
+	}
+	opt.Engine = eng
+	if *cluster != "batch" {
+		opt.ClusterMode = *cluster
+		if _, err := experiments.EngineConfigFor(opt); err != nil {
+			return cliFlags{}, err
+		}
+	}
+	return cliFlags{
+		exp: *exp, workload: *workload, markdown: *markdown,
+		cpuprof: *cpuprof, memprof: *memprof, opt: opt,
+	}, nil
 }
 
 func run(ctx context.Context, exp, workload string, opt experiments.Options, markdown bool) error {

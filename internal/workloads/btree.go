@@ -47,11 +47,16 @@ type BTree struct {
 	nodes int
 }
 
+// btreeNode keeps its keys and children in inline arrays; keys and
+// children are views into them, so a node is a single allocation and
+// never grows a backing array.
 type btreeNode struct {
 	region   memory.Region
 	keys     []uint64
 	children []*btreeNode
 	leaf     bool
+	keyBuf   [BTreeOrder - 1]uint64
+	childBuf [BTreeOrder]*btreeNode
 }
 
 // NewBTree creates an empty tree allocating nodes from the arena.
@@ -74,7 +79,10 @@ func (t *BTree) newNode(leaf bool) (*btreeNode, error) {
 		return nil, err
 	}
 	t.nodes++
-	return &btreeNode{region: r, leaf: leaf}, nil
+	n := &btreeNode{region: r, leaf: leaf}
+	n.keys = n.keyBuf[:0]
+	n.children = n.childBuf[:0]
+	return n, nil
 }
 
 // Size returns the number of keys stored.
@@ -87,9 +95,9 @@ func (t *BTree) Nodes() int { return t.nodes }
 // the whole structure.
 func (t *BTree) RootLine() memory.Addr { return t.root.region.Base }
 
-// touchKeys returns the addresses a key scan of the node touches: the
-// node header line plus the line holding the scanned key slot.
-func (n *btreeNode) touchKeys(slot int) []memory.Addr {
+// touchKeys appends to dst the addresses a key scan of the node touches:
+// the node header line plus the line holding the scanned key slot.
+func (n *btreeNode) touchKeys(dst []memory.Addr, slot int) []memory.Addr {
 	header := n.region.Base
 	// Keys are 8 bytes each, stored after a 16-byte header.
 	off := uint64(16 + 8*slot)
@@ -98,27 +106,32 @@ func (n *btreeNode) touchKeys(slot int) []memory.Addr {
 	}
 	keyLine := memory.LineOf(n.region.At(off))
 	if keyLine == memory.LineOf(header) {
-		return []memory.Addr{header}
+		return append(dst, header)
 	}
-	return []memory.Addr{header, keyLine}
+	return append(dst, header, keyLine)
 }
 
 // Lookup finds a key and returns whether it exists along with the address
 // trace of the search path.
 func (t *BTree) Lookup(key uint64) (bool, []memory.Addr) {
-	var trace []memory.Addr
+	return t.lookupInto(key, nil)
+}
+
+// lookupInto is Lookup appending the search path's trace to dst, so a
+// caller replaying many operations can reuse one trace buffer.
+func (t *BTree) lookupInto(key uint64, dst []memory.Addr) (bool, []memory.Addr) {
 	n := t.root
 	for {
 		i := 0
 		for i < len(n.keys) && key > n.keys[i] {
 			i++
 		}
-		trace = append(trace, n.touchKeys(i)...)
+		dst = n.touchKeys(dst, i)
 		if i < len(n.keys) && n.keys[i] == key {
-			return true, trace
+			return true, dst
 		}
 		if n.leaf {
-			return false, trace
+			return false, dst
 		}
 		n = n.children[i]
 	}
@@ -128,33 +141,36 @@ func (t *BTree) Lookup(key uint64) (bool, []memory.Addr) {
 // of the insertion, with the final leaf write included. The error is
 // non-nil only when the arena is exhausted.
 func (t *BTree) Insert(key uint64) ([]memory.Addr, error) {
-	var trace []memory.Addr
+	return t.insertInto(key, nil)
+}
+
+// insertInto is Insert appending the insertion's trace to dst.
+func (t *BTree) insertInto(key uint64, dst []memory.Addr) ([]memory.Addr, error) {
 	if len(t.root.keys) == maxKeys() {
 		// Split the root: tree grows one level.
 		newRoot, err := t.newNode(false)
 		if err != nil {
-			return trace, err
+			return dst, err
 		}
 		newRoot.children = append(newRoot.children, t.root)
-		if err := t.splitChild(newRoot, 0, &trace); err != nil {
-			return trace, err
+		if dst, err = t.splitChild(newRoot, 0, dst); err != nil {
+			return dst, err
 		}
 		t.root = newRoot
 	}
-	err := t.insertNonFull(t.root, key, &trace)
-	return trace, err
+	return t.insertNonFull(t.root, key, dst)
 }
 
 func maxKeys() int { return BTreeOrder - 1 }
 
-func (t *BTree) insertNonFull(n *btreeNode, key uint64, trace *[]memory.Addr) error {
+func (t *BTree) insertNonFull(n *btreeNode, key uint64, trace []memory.Addr) ([]memory.Addr, error) {
 	i := 0
 	for i < len(n.keys) && key > n.keys[i] {
 		i++
 	}
-	*trace = append(*trace, n.touchKeys(i)...)
+	trace = n.touchKeys(trace, i)
 	if i < len(n.keys) && n.keys[i] == key {
-		return nil // duplicate
+		return trace, nil // duplicate
 	}
 	if n.leaf {
 		n.keys = append(n.keys, 0)
@@ -162,32 +178,32 @@ func (t *BTree) insertNonFull(n *btreeNode, key uint64, trace *[]memory.Addr) er
 		n.keys[i] = key
 		t.size++
 		// The leaf write itself.
-		*trace = append(*trace, n.touchKeys(i)...)
-		return nil
+		return n.touchKeys(trace, i), nil
 	}
 	if len(n.children[i].keys) == maxKeys() {
-		if err := t.splitChild(n, i, trace); err != nil {
-			return err
+		var err error
+		if trace, err = t.splitChild(n, i, trace); err != nil {
+			return trace, err
 		}
 		if key > n.keys[i] {
 			i++
 		} else if key == n.keys[i] {
-			return nil
+			return trace, nil
 		}
 	}
 	return t.insertNonFull(n.children[i], key, trace)
 }
 
 // splitChild splits the full child n.children[i], promoting its median key
-// into n.
-func (t *BTree) splitChild(n *btreeNode, i int, trace *[]memory.Addr) error {
+// into n, and appends the split's trace.
+func (t *BTree) splitChild(n *btreeNode, i int, trace []memory.Addr) ([]memory.Addr, error) {
 	child := n.children[i]
 	mid := len(child.keys) / 2
 	midKey := child.keys[mid]
 
 	right, err := t.newNode(child.leaf)
 	if err != nil {
-		return err
+		return trace, err
 	}
 	right.keys = append(right.keys, child.keys[mid+1:]...)
 	child.keys = child.keys[:mid]
@@ -204,8 +220,7 @@ func (t *BTree) splitChild(n *btreeNode, i int, trace *[]memory.Addr) error {
 	n.children[i+1] = right
 
 	// Splits touch all three nodes.
-	*trace = append(*trace, child.region.Base, right.region.Base, n.region.Base)
-	return nil
+	return append(trace, child.region.Base, right.region.Base, n.region.Base), nil
 }
 
 // Height returns the tree height (1 for a lone leaf root).

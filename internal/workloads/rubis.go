@@ -74,10 +74,14 @@ type rubisWorker struct {
 	cfg     RubisConfig
 	global  memory.Region
 	session memory.Region
+	// trace is scratch for the current index operation's addresses,
+	// valid only until the worker's next operation.
+	trace []memory.Addr
 }
 
-func (w *rubisWorker) transaction() []sim.MemRef {
-	var refs []sim.MemRef
+// transaction appends the reference trace of one OLTP transaction to
+// refs.
+func (w *rubisWorker) transaction(refs []sim.MemRef) []sim.MemRef {
 	bid := w.rng.Float64() < w.cfg.BidRatio
 	key := uint64(w.rng.Int63n(int64(w.cfg.KeySpace))) + 1
 
@@ -85,13 +89,12 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.inst.locks), Write: true, Insts: 6})
 
 	// 2. Index traversal.
-	var trace []memory.Addr
 	if bid {
-		trace, _ = w.inst.index.Insert(key)
+		w.trace, _ = w.inst.index.insertInto(key, w.trace[:0])
 	} else {
-		_, trace = w.inst.index.Lookup(key)
+		_, w.trace = w.inst.index.lookupInto(key, w.trace[:0])
 	}
-	for _, a := range trace {
+	for _, a := range w.trace {
 		branch, other := stallNoise(w.rng, 2, 5)
 		refs = append(refs, sim.MemRef{Addr: a, Insts: 9, BranchStall: branch, OtherStall: other})
 	}
@@ -141,13 +144,14 @@ func NewRubis(arena *memory.Arena, cfg RubisConfig) (*Spec, error) {
 	}
 	popRng := rand.New(rand.NewSource(cfg.Seed * 60013))
 	insts := make([]*dbInstance, cfg.Instances)
+	var scratch []memory.Addr
 	for i := range insts {
 		index, err := NewBTree(arena)
 		if err != nil {
 			return nil, err
 		}
 		for k := 0; k < cfg.TableKeys; k++ {
-			if _, err := index.Insert(uint64(popRng.Int63n(int64(cfg.KeySpace))) + 1); err != nil {
+			if scratch, err = index.insertInto(uint64(popRng.Int63n(int64(cfg.KeySpace)))+1, scratch[:0]); err != nil {
 				return nil, err
 			}
 		}

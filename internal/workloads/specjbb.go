@@ -71,28 +71,30 @@ type jbbWorker struct {
 	cfg    JBBConfig
 	global memory.Region
 	heap   memory.Region
+	// trace is scratch for the current tree operation's addresses, valid
+	// only until the worker's next operation.
+	trace []memory.Addr
 }
 
-// transaction produces the reference trace of one warehouse operation.
-func (w *jbbWorker) transaction() []sim.MemRef {
-	var refs []sim.MemRef
+// transaction appends the reference trace of one warehouse operation to
+// refs.
+func (w *jbbWorker) transaction(refs []sim.MemRef) []sim.MemRef {
 	key := uint64(w.rng.Int63n(int64(w.cfg.KeySpace))) + 1
 	isUpdate := w.rng.Float64() < w.cfg.UpdateRatio
 
 	// Transaction prologue: read the warehouse/district record.
 	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.meta), Insts: 8})
 
-	var trace []memory.Addr
 	if isUpdate {
-		trace, _ = w.tree.Insert(key)
+		w.trace, _ = w.tree.insertInto(key, w.trace[:0])
 	} else {
-		_, trace = w.tree.Lookup(key)
+		_, w.trace = w.tree.lookupInto(key, w.trace[:0])
 	}
-	for i, a := range trace {
+	for i, a := range w.trace {
 		branch, other := stallNoise(w.rng, 2, 4)
 		refs = append(refs, sim.MemRef{
 			Addr:        a,
-			Write:       isUpdate && i == len(trace)-1, // the leaf write
+			Write:       isUpdate && i == len(w.trace)-1, // the leaf write
 			Insts:       8,
 			BranchStall: branch,
 			OtherStall:  other,
@@ -157,6 +159,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 	popRng := rand.New(rand.NewSource(cfg.Seed * 31337))
 	trees := make([]*BTree, cfg.Warehouses)
 	metas := make([]memory.Region, cfg.Warehouses)
+	var scratch []memory.Addr
 	for i := range trees {
 		arena := arenaFor(i)
 		t, err := NewBTree(arena)
@@ -164,7 +167,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 			return nil, err
 		}
 		for k := 0; k < cfg.InitialKeys; k++ {
-			if _, err := t.Insert(uint64(popRng.Int63n(int64(cfg.KeySpace))) + 1); err != nil {
+			if scratch, err = t.insertInto(uint64(popRng.Int63n(int64(cfg.KeySpace)))+1, scratch[:0]); err != nil {
 				return nil, err
 			}
 		}

@@ -81,20 +81,29 @@ func pickHot(rng *rand.Rand, r memory.Region, hotLines int, hotProb float64) mem
 }
 
 // traceGenerator replays queued address traces (e.g. a B-tree operation's
-// touched nodes) as MemRefs, asking a refill function for the next
-// operation when the queue drains. The refill's last reference carries the
-// op-completion marker.
+// touched nodes) as MemRefs, asking refill for the next operation when the
+// buffer drains. The refill's last reference carries the op-completion
+// marker.
+//
+// Buffer ownership: refill receives the drained buffer truncated to
+// length zero and must append the next operation's references to it and
+// return the result; the generator owns the returned slice and reuses
+// its backing array for the following refill. A refill must therefore
+// not retain the slice it returns. Once the buffer has grown to the
+// longest operation, Next allocates nothing.
 type traceGenerator struct {
-	queue  []sim.MemRef
-	refill func() []sim.MemRef
+	buf    []sim.MemRef
+	pos    int
+	refill func(dst []sim.MemRef) []sim.MemRef
 }
 
 func (g *traceGenerator) Next() sim.MemRef {
-	for len(g.queue) == 0 {
-		g.queue = g.refill()
+	for g.pos == len(g.buf) {
+		g.buf = g.refill(g.buf[:0])
+		g.pos = 0
 	}
-	ref := g.queue[0]
-	g.queue = g.queue[1:]
+	ref := g.buf[g.pos]
+	g.pos++
 	return ref
 }
 

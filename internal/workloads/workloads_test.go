@@ -361,14 +361,27 @@ func TestWorkloadDeterminism(t *testing.T) {
 
 func TestTraceGeneratorRefills(t *testing.T) {
 	calls := 0
-	g := &traceGenerator{refill: func() []sim.MemRef {
+	var backing []*sim.MemRef
+	g := &traceGenerator{refill: func(dst []sim.MemRef) []sim.MemRef {
 		calls++
-		return []sim.MemRef{{Addr: 1, Insts: 1}, {Addr: 2, Insts: 1, Ops: 1}}
+		if len(dst) != 0 {
+			t.Errorf("refill %d got %d queued refs, want a drained buffer", calls, len(dst))
+		}
+		dst = append(dst, sim.MemRef{Addr: 1, Insts: 1}, sim.MemRef{Addr: 2, Insts: 1, Ops: 1})
+		backing = append(backing, &dst[0])
+		return dst
 	}}
-	for i := 0; i < 5; i++ {
-		g.Next()
+	for i, want := range []memory.Addr{1, 2, 1, 2, 1} {
+		if got := g.Next().Addr; got != want {
+			t.Errorf("ref %d addr = %d, want %d", i, got, want)
+		}
 	}
 	if calls != 3 {
 		t.Errorf("refill called %d times, want 3 for 5 refs of 2-ref traces", calls)
+	}
+	for i := 1; i < len(backing); i++ {
+		if backing[i] != backing[0] {
+			t.Errorf("refill %d appended into a new array; the drained buffer must be reused", i+1)
+		}
 	}
 }
