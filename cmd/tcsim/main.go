@@ -147,7 +147,7 @@ func parseFlags(args []string, stderr io.Writer) (cliFlags, error) {
 		engineRounds = fs.Int("engine-rounds", 0, "override engine rounds (0 = default)")
 		measure      = fs.Int("measure", 0, "override measured rounds (0 = default)")
 		markdown     = fs.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
-		coherence    = fs.String("coherence", "directory", "cache-coherence implementation: directory|broadcast (results are identical; directory is faster)")
+		coherence    = fs.String("coherence", "directory", "cache-coherence implementation: directory|broadcast (broadcast is the immediate-visibility reference; multi-chip output differs on rounds directory mode runs deferred)")
 		engine       = fs.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
 		cluster      = fs.String("cluster", "batch", "clustering path: batch (from-scratch per detection)|dense|sketch (incremental)")
 		cpuprof      = fs.String("cpuprofile", "", "write a CPU profile to this file")

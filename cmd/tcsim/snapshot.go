@@ -73,13 +73,12 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = eng
-	mcfg.Topo = topo
-	mcfg.Policy = policy
-	mcfg.Seed = *seed
-	mcfg.QuantumCycles = experiments.DefaultOptions().QuantumCycles
-	mcfg.Caches.Coherence = mode
+	opt := experiments.DefaultOptions()
+	opt.Engine = eng
+	opt.Topo = topo
+	opt.Seed = *seed
+	opt.Coherence = mode
+	mcfg := experiments.MachineConfig(opt, policy)
 
 	// install rebuilds everything a snapshot cannot carry — generator
 	// closures, PMU programming, the clustering engine's handlers — from

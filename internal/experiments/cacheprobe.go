@@ -112,13 +112,7 @@ func CacheProbe(ctx context.Context, opt Options) ([]ProbePoint, *stats.Table, e
 }
 
 func probeOne(ctx context.Context, opt Options, bytes uint64) (ProbePoint, error) {
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // one thread, pinned to CPU 0
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyRoundRobin)) // one thread, pinned to CPU 0
 	if err != nil {
 		return ProbePoint{}, err
 	}
@@ -131,13 +125,13 @@ func probeOne(ctx context.Context, opt Options, bytes uint64) (ProbePoint, error
 	// worst-case (memory) latency, or big sets would be measured during
 	// their cold pass.
 	lines := bytes / memory.LineSize
-	warmRounds := int(2*lines*300/mcfg.QuantumCycles) + opt.WarmRounds
+	warmRounds := int(2*lines*300/opt.QuantumCycles) + opt.WarmRounds
 	if err := m.RunRoundsCtx(ctx, warmRounds); err != nil {
 		return ProbePoint{}, err
 	}
 	m.ResetMetrics()
 	// Measure at least one further full walk.
-	measureRounds := int(lines*300/mcfg.QuantumCycles) + opt.MeasureRounds
+	measureRounds := int(lines*300/opt.QuantumCycles) + opt.MeasureRounds
 	if err := m.RunRoundsCtx(ctx, measureRounds); err != nil {
 		return ProbePoint{}, err
 	}

@@ -64,24 +64,12 @@ func churnRun(ctx context.Context, opt Options, replaceEvery int) (ChurnPoint, *
 	if err != nil {
 		return ChurnPoint{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyClustered), server.Spec())
 	if err != nil {
 		return ChurnPoint{}, nil, err
 	}
-	if err := server.Spec().Install(m); err != nil {
-		return ChurnPoint{}, nil, err
-	}
-	eng, err := newScaledEngine(m, opt)
+	eng, err := installScaledEngine(m, opt)
 	if err != nil {
-		return ChurnPoint{}, nil, err
-	}
-	if err := eng.Install(); err != nil {
 		return ChurnPoint{}, nil, err
 	}
 
@@ -131,11 +119,7 @@ func churnRun(ctx context.Context, opt Options, replaceEvery int) (ChurnPoint, *
 		}()
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return ChurnPoint{}, nil, err
-	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+	if _, err := measure(ctx, m, opt); err != nil {
 		return ChurnPoint{}, nil, err
 	}
 	return ChurnPoint{

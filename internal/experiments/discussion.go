@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/memory"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/workloads"
 )
@@ -39,14 +38,10 @@ func Contention(ctx context.Context, opt Options) ([]ContentionRow, *stats.Table
 	var rows []ContentionRow
 	for _, l3 := range []struct {
 		name string
-		cfg  cache.HierarchyConfig
+		cfg  cache.Config
 	}{
-		{"36MB (Power5)", cache.Power5Config()},
-		{"1MB (shrunk)", func() cache.HierarchyConfig {
-			c := cache.Power5Config()
-			c.L3 = cache.Config{SizeBytes: 1 << 20, Ways: 8}
-			return c
-		}()},
+		{"36MB (Power5)", cache.Power5Config().L3},
+		{"1MB (shrunk)", cache.Config{SizeBytes: 1 << 20, Ways: 8}},
 	} {
 		for _, placement := range []string{"packed on one chip", "engine (balanced)"} {
 			row, err := contentionRun(ctx, opt, placement, l3.cfg)
@@ -67,7 +62,7 @@ func Contention(ctx context.Context, opt Options) ([]ContentionRow, *stats.Table
 	return rows, t, nil
 }
 
-func contentionRun(ctx context.Context, opt Options, placement string, caches cache.HierarchyConfig) (ContentionRow, error) {
+func contentionRun(ctx context.Context, opt Options, placement string, l3 cache.Config) (ContentionRow, error) {
 	arena := memory.NewDefaultArena()
 	// ONE sharing group of 16 threads, each with a 384KB private set:
 	// the aggregate footprint (6MB) dwarfs one chip's 2MB L2.
@@ -84,19 +79,10 @@ func contentionRun(ctx context.Context, opt Options, placement string, caches ca
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Caches = caches
-	mcfg.Caches.Coherence = opt.Coherence
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	mcfg := MachineConfig(opt, sched.PolicyClustered)
+	mcfg.Caches.L3 = l3
+	m, err := newMachine(mcfg, spec)
 	if err != nil {
-		return ContentionRow{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return ContentionRow{}, err
 	}
 
@@ -112,20 +98,12 @@ func contentionRun(ctx context.Context, opt Options, placement string, caches ca
 			m.Scheduler().Pin(th.ID)
 		}
 	case "engine (balanced)":
-		eng, err := newScaledEngine(m, opt)
-		if err != nil {
-			return ContentionRow{}, err
-		}
-		if err := eng.Install(); err != nil {
+		if _, err := installScaledEngine(m, opt); err != nil {
 			return ContentionRow{}, err
 		}
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return ContentionRow{}, err
-	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+	if _, err := measure(ctx, m, opt); err != nil {
 		return ContentionRow{}, err
 	}
 	b := m.Breakdown()
@@ -173,17 +151,9 @@ func MigrationCost(ctx context.Context, opt Options) (MigrationCostResult, error
 	if err != nil {
 		return MigrationCostResult{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // scatter, no balancing interference
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	// Round-robin scatters, with no balancing interference.
+	m, err := newMachine(MachineConfig(opt, sched.PolicyRoundRobin), spec)
 	if err != nil {
-		return MigrationCostResult{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return MigrationCostResult{}, err
 	}
 

@@ -133,14 +133,76 @@ func EngineConfigFor(opt Options) (core.Config, error) {
 	return cfg, nil
 }
 
-// newScaledEngine attaches a clustering engine with the scaled paper
-// parameters — and the Options' cluster mode — to a machine.
-func newScaledEngine(m *sim.Machine, opt Options) (*core.Engine, error) {
+// MachineConfig is the one place Options become a machine description:
+// it copies the execution engine, topology, quantum, seed and coherence
+// mode into sim.DefaultConfig and sets the placement policy. Harnesses
+// that study a machine variant (NUMA latencies, shrunk caches, SMT
+// contention) edit fields of the returned config; none replaces Caches
+// wholesale, so the coherence mode always survives.
+func MachineConfig(opt Options, policy sched.Policy) sim.Config {
+	mcfg := sim.DefaultConfig()
+	mcfg.Engine = opt.Engine
+	mcfg.Topo = opt.Topo
+	mcfg.Policy = policy
+	mcfg.QuantumCycles = opt.QuantumCycles
+	mcfg.Seed = opt.Seed
+	mcfg.Caches.Coherence = opt.Coherence
+	return mcfg
+}
+
+// newMachine builds a machine from mcfg and installs the specs in order.
+func newMachine(mcfg sim.Config, specs ...*workloads.Spec) (*sim.Machine, error) {
+	m, err := sim.NewMachine(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, spec := range specs {
+		if err := spec.Install(m); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// installEngine builds a clustering engine from cfg and installs it on m.
+func installEngine(m *sim.Machine, cfg core.Config) (*core.Engine, error) {
+	eng, err := core.New(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.Install(); err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// installScaledEngine installs an engine with the scaled paper
+// parameters and the Options' cluster mode (EngineConfigFor).
+func installScaledEngine(m *sim.Machine, opt Options) (*core.Engine, error) {
 	cfg, err := EngineConfigFor(opt)
 	if err != nil {
 		return nil, err
 	}
-	return core.New(m, cfg)
+	return installEngine(m, cfg)
+}
+
+// measure runs the warm-up (WarmRounds+EngineRounds), resets the
+// machine's metrics and runs the measured interval, returning the
+// metrics delta over that interval. Every policy warms for the same
+// total rounds so that measurement windows are time-aligned: the
+// workloads' data structures grow as they run (B-trees gain nodes), and
+// comparing a young run against an old one would confound placement
+// effects with workload age.
+func measure(ctx context.Context, m *sim.Machine, opt Options) (metrics.Snapshot, error) {
+	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
+		return metrics.Snapshot{}, err
+	}
+	m.ResetMetrics()
+	base := m.SnapshotMetrics()
+	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+		return metrics.Snapshot{}, err
+	}
+	return m.SnapshotMetrics().Delta(base), nil
 }
 
 // ControlledEngineConfig is ScaledEngineConfig with the activation
@@ -259,40 +321,24 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	mcfg.Caches.Coherence = opt.Coherence
-	m, err := sim.NewMachine(mcfg)
+	return runSpec(ctx, name, spec, policy, withEngine, opt)
+}
+
+// runSpec is RunWorkload for an already-built spec: one machine from
+// MachineConfig, the optional scaled engine, then measure.
+func runSpec(ctx context.Context, name string, spec *workloads.Spec, policy sched.Policy, withEngine bool, opt Options) (RunMetrics, *sim.Machine, error) {
+	m, err := newMachine(MachineConfig(opt, policy), spec)
 	if err != nil {
-		return RunMetrics{}, nil, err
-	}
-	if err := spec.Install(m); err != nil {
 		return RunMetrics{}, nil, err
 	}
 	var eng *core.Engine
 	if withEngine {
-		eng, err = newScaledEngine(m, opt)
-		if err != nil {
-			return RunMetrics{}, nil, err
-		}
-		if err := eng.Install(); err != nil {
+		if eng, err = installScaledEngine(m, opt); err != nil {
 			return RunMetrics{}, nil, err
 		}
 	}
-	// Every policy warms for the same total rounds so that measurement
-	// windows are time-aligned: the workloads' data structures grow as
-	// they run (B-trees gain nodes), and comparing a young run against an
-	// old one would confound placement effects with workload age.
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return RunMetrics{}, nil, err
-	}
-	m.ResetMetrics()
-	base := m.SnapshotMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+	delta, err := measure(ctx, m, opt)
+	if err != nil {
 		return RunMetrics{}, nil, err
 	}
 
@@ -304,11 +350,11 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 		RemoteStalls:   b.RemoteStalls(),
 		RemoteFraction: b.RemoteFraction(),
 		Ops:            m.TotalOps(),
+		Metrics:        delta,
 	}
 	if b.Cycles > 0 {
 		res.OpsPerMCycle = float64(res.Ops) / (float64(b.Cycles) / 1e6)
 	}
-	res.Metrics = m.SnapshotMetrics().Delta(base)
 	if eng != nil {
 		res.Engine = &EngineStats{
 			Activations:     eng.Activations(),

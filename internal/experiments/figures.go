@@ -8,7 +8,6 @@ import (
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/clustering"
-	"threadcluster/internal/core"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
@@ -131,24 +130,12 @@ func Figure5(ctx context.Context, opt Options) ([]Figure5Result, error) {
 			if err != nil {
 				return Figure5Result{}, err
 			}
-			mcfg := sim.DefaultConfig()
-			mcfg.Engine = opt.Engine
-			mcfg.Topo = opt.Topo
-			mcfg.Policy = sched.PolicyClustered
-			mcfg.QuantumCycles = opt.QuantumCycles
-			mcfg.Seed = opt.Seed
-			m, err := sim.NewMachine(mcfg)
+			m, err := newMachine(MachineConfig(opt, sched.PolicyClustered), spec)
 			if err != nil {
 				return Figure5Result{}, err
 			}
-			if err := spec.Install(m); err != nil {
-				return Figure5Result{}, err
-			}
-			eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
+			eng, err := installEngine(m, ControlledEngineConfig(opt.Seed))
 			if err != nil {
-				return Figure5Result{}, err
-			}
-			if err := eng.Install(); err != nil {
 				return Figure5Result{}, err
 			}
 			if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {

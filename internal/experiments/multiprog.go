@@ -54,18 +54,11 @@ func Multiprogrammed(ctx context.Context, opt Options) (MultiprogResult, *stats.
 				}
 				return 0
 			}
-			if eng, err = core.New(m, ecfg); err != nil {
-				return 0, [2]uint64{}, nil, err
-			}
-			if err := eng.Install(); err != nil {
+			if eng, err = installEngine(m, ecfg); err != nil {
 				return 0, [2]uint64{}, nil, err
 			}
 		}
-		if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-			return 0, [2]uint64{}, nil, err
-		}
-		m.ResetMetrics()
-		if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+		if _, err := measure(ctx, m, opt); err != nil {
 			return 0, [2]uint64{}, nil, err
 		}
 		var ops [2]uint64
@@ -135,21 +128,10 @@ func buildMultiprog(opt Options, withEngine bool) (*sim.Machine, []*workloads.Sp
 	if withEngine {
 		policy = sched.PolicyClustered
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	specs := []*workloads.Spec{volano, jbb}
+	m, err := newMachine(MachineConfig(opt, policy), specs...)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := volano.Install(m); err != nil {
-		return nil, nil, err
-	}
-	if err := jbb.Install(m); err != nil {
-		return nil, nil, err
-	}
-	return m, []*workloads.Spec{volano, jbb}, nil
+	return m, specs, nil
 }

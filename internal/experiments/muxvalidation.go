@@ -6,7 +6,6 @@ import (
 
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 )
@@ -42,17 +41,8 @@ func MuxValidation(ctx context.Context, opt Options) (MuxValidationResult, *stat
 	if err != nil {
 		return MuxValidationResult{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyDefault
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyDefault), spec)
 	if err != nil {
-		return MuxValidationResult{}, nil, err
-	}
-	if err := spec.Install(m); err != nil {
 		return MuxValidationResult{}, nil, err
 	}
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"threadcluster/internal/cache"
-	"threadcluster/internal/core"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 	"threadcluster/internal/workloads"
@@ -102,29 +100,19 @@ func numaRun(ctx context.Context, opt Options, policy sched.Policy, withEngine, 
 		return NUMARow{}, err
 	}
 
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
+	mcfg := MachineConfig(opt, policy)
 	mcfg.Topo = topo
 	mcfg.Lat = topology.NUMALatencies()
 	// Shrink the caches so steady-state capacity misses reach memory and
 	// the memory's home node matters.
-	mcfg.Caches = cache.HierarchyConfig{
-		L1:        cache.Config{SizeBytes: 32 << 10, Ways: 4},
-		L2:        cache.Config{SizeBytes: 256 << 10, Ways: 8},
-		L3:        cache.Config{SizeBytes: 512 << 10, Ways: 8},
-		Coherence: opt.Coherence,
-	}
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	mcfg.Caches.L1 = cache.Config{SizeBytes: 32 << 10, Ways: 4}
+	mcfg.Caches.L2 = cache.Config{SizeBytes: 256 << 10, Ways: 8}
+	mcfg.Caches.L3 = cache.Config{SizeBytes: 512 << 10, Ways: 8}
+	m, err := newMachine(mcfg, spec)
 	if err != nil {
 		return rowErr(err)
 	}
 	m.Hierarchy().SetNUMA(nodes)
-	if err := spec.Install(m); err != nil {
-		return rowErr(err)
-	}
 
 	name := "default"
 	if withEngine {
@@ -139,20 +127,12 @@ func numaRun(ctx context.Context, opt Options, policy sched.Policy, withEngine, 
 		} else {
 			name = "clustered (NUMA-blind)"
 		}
-		eng, err := core.New(m, ecfg)
-		if err != nil {
-			return rowErr(err)
-		}
-		if err := eng.Install(); err != nil {
+		if _, err := installEngine(m, ecfg); err != nil {
 			return rowErr(err)
 		}
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return rowErr(err)
-	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+	if _, err := measure(ctx, m, opt); err != nil {
 		return rowErr(err)
 	}
 	b := m.Breakdown()

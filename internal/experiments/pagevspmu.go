@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"threadcluster/internal/clustering"
-	"threadcluster/internal/core"
 	"threadcluster/internal/pagedetect"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 )
 
@@ -66,18 +64,14 @@ func pmuDetectorRow(ctx context.Context, workload string, opt Options) (Detector
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	m, err := newScatterMachine(opt)
+	// Round-robin scatters the sharing groups, so both detectors see
+	// plenty of cross-chip sharing to work with.
+	m, err := newMachine(MachineConfig(opt, sched.PolicyRoundRobin), spec)
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	if err := spec.Install(m); err != nil {
-		return DetectorComparison{}, err
-	}
-	eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
+	eng, err := installEngine(m, ControlledEngineConfig(opt.Seed))
 	if err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := eng.Install(); err != nil {
 		return DetectorComparison{}, err
 	}
 	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
@@ -104,11 +98,8 @@ func pageDetectorRow(ctx context.Context, workload string, opt Options) (Detecto
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	m, err := newScatterMachine(opt)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyRoundRobin), spec) // scatter, as above
 	if err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return DetectorComparison{}, err
 	}
 	det, err := pagedetect.New(pagedetect.DefaultConfig())
@@ -137,19 +128,6 @@ func pageDetectorRow(ctx context.Context, workload string, opt Options) (Detecto
 		Clusters:        bigClusters(clusters),
 		OverheadPercent: 100 * stats.Ratio(float64(m.OverheadCycles()), float64(b.Cycles)),
 	}, nil
-}
-
-// newScatterMachine builds a machine whose placement scatters sharing
-// groups (round-robin), so both detectors see plenty of cross-chip
-// sharing to work with.
-func newScatterMachine(opt Options) (*sim.Machine, error) {
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	return sim.NewMachine(mcfg)
 }
 
 func truthOf(spec interface {

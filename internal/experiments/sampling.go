@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/core"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 	"threadcluster/internal/workloads"
@@ -57,27 +56,15 @@ func figure8Point(ctx context.Context, interval uint64, opt Options) (Figure8Poi
 	if err != nil {
 		return Figure8Point{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyClustered), spec)
 	if err != nil {
-		return Figure8Point{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return Figure8Point{}, err
 	}
 	cfg := ControlledEngineConfig(opt.Seed)
 	cfg.SamplingInterval = interval
 	cfg.SamplingJitter = 0 // hold the rate exactly for the sweep
-	eng, err := core.New(m, cfg)
+	eng, err := installEngine(m, cfg)
 	if err != nil {
-		return Figure8Point{}, err
-	}
-	if err := eng.Install(); err != nil {
 		return Figure8Point{}, err
 	}
 	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
@@ -134,27 +121,15 @@ func spatialPoint(ctx context.Context, entries int, opt Options) (SpatialPoint, 
 	if err != nil {
 		return SpatialPoint{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyClustered), spec)
 	if err != nil {
-		return SpatialPoint{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return SpatialPoint{}, err
 	}
 	cfg := ControlledEngineConfig(opt.Seed)
 	cfg.ShMapEntries = entries
 	cfg.FilterQuota = entries / 4
-	eng, err := core.New(m, cfg)
+	eng, err := installEngine(m, cfg)
 	if err != nil {
-		return SpatialPoint{}, err
-	}
-	if err := eng.Install(); err != nil {
 		return SpatialPoint{}, err
 	}
 	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
@@ -207,17 +182,9 @@ func SDARPurity(ctx context.Context, opt Options) (SDARPurityResult, error) {
 	if err != nil {
 		return SDARPurityResult{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // scatter sharers: plenty of remote traffic
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	// Round-robin scatters sharers: plenty of remote traffic.
+	m, err := newMachine(MachineConfig(opt, sched.PolicyRoundRobin), spec)
 	if err != nil {
-		return SDARPurityResult{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return SDARPurityResult{}, err
 	}
 	var res SDARPurityResult
@@ -261,24 +228,12 @@ func detectedShMaps(ctx context.Context, name string, opt Options) (map[clusteri
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(MachineConfig(opt, sched.PolicyClustered), spec)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := spec.Install(m); err != nil {
-		return nil, nil, nil, err
-	}
-	eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
+	eng, err := installEngine(m, ControlledEngineConfig(opt.Seed))
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := eng.Install(); err != nil {
 		return nil, nil, nil, err
 	}
 	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {

@@ -7,7 +7,6 @@ import (
 	"threadcluster/internal/memory"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 	"threadcluster/internal/workloads"
@@ -40,8 +39,10 @@ func SMTPlacement(ctx context.Context, opt Options) ([]SMTRow, *stats.Table, err
 	const seeds = 6
 	rows := []SMTRow{{Placement: "random (paper §4.5)"}, {Placement: "cores-first (SMT-aware)"}}
 	for s := int64(0); s < seeds; s++ {
+		o := opt
+		o.Seed = opt.Seed + s
 		for i, spread := range []bool{false, true} {
-			r, err := smtRun(ctx, opt, opt.Seed+s, spread)
+			r, err := smtRun(ctx, o, spread)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -59,7 +60,7 @@ func SMTPlacement(ctx context.Context, opt Options) ([]SMTRow, *stats.Table, err
 	return rows, t, nil
 }
 
-func smtRun(ctx context.Context, opt Options, seed int64, spread bool) (SMTRow, error) {
+func smtRun(ctx context.Context, opt Options, spread bool) (SMTRow, error) {
 	arena := memory.NewDefaultArena()
 	// Two sharing pairs: 4 threads on the 8-context machine.
 	wcfg := workloads.SyntheticConfig{
@@ -69,24 +70,16 @@ func smtRun(ctx context.Context, opt Options, seed int64, spread bool) (SMTRow, 
 		PrivateBytes:    64 << 10,
 		SharedRatio:     0.4,
 		WriteRatio:      0.5,
-		Seed:            seed,
+		Seed:            opt.Seed,
 	}
 	spec, err := workloads.NewSynthetic(arena, wcfg)
 	if err != nil {
 		return SMTRow{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // static: the experiment places manually
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = seed
+	mcfg := MachineConfig(opt, sched.PolicyRoundRobin) // static: the experiment places manually
 	mcfg.SMTContentionPct = 30
-	m, err := sim.NewMachine(mcfg)
+	m, err := newMachine(mcfg, spec)
 	if err != nil {
-		return SMTRow{}, err
-	}
-	if err := spec.Install(m); err != nil {
 		return SMTRow{}, err
 	}
 

@@ -37,59 +37,28 @@ type StagedResult struct {
 // the clustering engine, built around disjoint sharing groups, still
 // reduces cross-chip traffic on chain-structured sharing.
 func Staged(ctx context.Context, opt Options) (StagedResult, *stats.Table, error) {
-	run := func(withEngine bool) (float64, uint64, *sim.Machine, *workloads.Spec, error) {
-		arena := memory.NewDefaultArena()
+	run := func(policy sched.Policy) (RunMetrics, *sim.Machine, *workloads.Spec, error) {
 		wcfg := workloads.DefaultStagedConfig()
 		wcfg.Seed = opt.Seed
-		spec, err := workloads.NewStaged(arena, wcfg)
+		spec, err := workloads.NewStaged(memory.NewDefaultArena(), wcfg)
 		if err != nil {
-			return 0, 0, nil, nil, err
+			return RunMetrics{}, nil, nil, err
 		}
-		mcfg := sim.DefaultConfig()
-		mcfg.Engine = opt.Engine
-		mcfg.Topo = opt.Topo
-		mcfg.Policy = sched.PolicyDefault
-		if withEngine {
-			mcfg.Policy = sched.PolicyClustered
-		}
-		mcfg.QuantumCycles = opt.QuantumCycles
-		mcfg.Seed = opt.Seed
-		m, err := sim.NewMachine(mcfg)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if err := spec.Install(m); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if withEngine {
-			eng, err := newScaledEngine(m, opt)
-			if err != nil {
-				return 0, 0, nil, nil, err
-			}
-			if err := eng.Install(); err != nil {
-				return 0, 0, nil, nil, err
-			}
-		}
-		if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		m.ResetMetrics()
-		if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		return m.Breakdown().RemoteFraction(), m.TotalOps(), m, spec, nil
+		r, m, err := runSpec(ctx, "staged", spec, policy, policy == sched.PolicyClustered, opt)
+		return r, m, spec, err
 	}
 
 	var res StagedResult
-	var err error
-	if res.DefaultRemote, res.DefaultOps, _, _, err = run(false); err != nil {
+	def, _, _, err := run(sched.PolicyDefault)
+	if err != nil {
 		return res, nil, err
 	}
-	var m *sim.Machine
-	var spec *workloads.Spec
-	if res.ClusteredRemote, res.ClusteredOps, m, spec, err = run(true); err != nil {
+	res.DefaultRemote, res.DefaultOps = def.RemoteFraction, def.Ops
+	cl, m, spec, err := run(sched.PolicyClustered)
+	if err != nil {
 		return res, nil, err
 	}
+	res.ClusteredRemote, res.ClusteredOps = cl.RemoteFraction, cl.Ops
 
 	// Majority chip per stage, in stage order.
 	wcfg := workloads.DefaultStagedConfig()

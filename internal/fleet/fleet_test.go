@@ -386,7 +386,7 @@ func TestFleetQuarantinesCorruptCheckpoint(t *testing.T) {
 	if len(warns) != 1 || !errors.Is(warns[0], errs.ErrSpoolCorrupt) {
 		t.Fatalf("want one ErrSpoolCorrupt warning, got %v", warns)
 	}
-	if _, err := os.Stat(path + quarantineSuffix); err != nil {
+	if _, err := os.Stat(path + server.QuarantineSuffix); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
 }

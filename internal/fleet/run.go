@@ -65,7 +65,7 @@ type runState struct {
 	norm      server.JobSpec
 	cells     []experiments.GridCell
 	results   []sweep.Result
-	completed map[int]checkpointCell
+	completed map[int]server.CheckpointCell
 	runs      []*shardRun
 	bySlot    map[int]*shardRun
 	comps     chan completion
@@ -122,7 +122,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	// Resume: restore checkpointed cells into their grid positions.
 	st.completed = c.loadCheckpoint(norm, cells)
 	if st.completed == nil {
-		st.completed = make(map[int]checkpointCell)
+		st.completed = make(map[int]server.CheckpointCell)
 	}
 	indices := make([]int, 0, len(st.completed))
 	for idx := range st.completed {
@@ -322,7 +322,7 @@ func (st *runState) accept(sh *shardRun, p server.ResultPayload) error {
 			continue
 		}
 		st.results[idx] = r
-		st.completed[idx] = checkpointCell{Index: idx, Name: tr.Name, Seed: tr.Seed, Metrics: tr.Metrics}
+		st.completed[idx] = server.CheckpointCell{Index: idx, Name: tr.Name, Seed: tr.Seed, Metrics: tr.Metrics}
 	}
 	return nil
 }

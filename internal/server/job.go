@@ -247,7 +247,7 @@ type job struct {
 	// completed records finished grid cells for checkpointing (and seeds
 	// a resumed job at re-admission); ckptNew counts completions since
 	// the last checkpoint flush.
-	completed map[int]checkpointCell
+	completed map[int]CheckpointCell
 	ckptNew   int
 
 	events  *eventLog

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
 )
 
@@ -21,7 +22,7 @@ import (
 // after restart produces the byte-identical payload the original
 // admission would have.
 //
-// Checkpoint format: one JSON checkpointFile per running job, named
+// Checkpoint format: one JSON CheckpointFile per running job, named
 // "<job id>.ckpt" beside the spool specs. A checkpoint carries the
 // normalized spec plus every completed grid cell's metrics snapshot;
 // grid cells are independent machines with spec-derived seeds
@@ -35,25 +36,31 @@ import (
 // renamed to "<name>.quarantine", recorded as an errs.ErrSpoolCorrupt
 // warning (SpoolWarnings), counted in server_spool_quarantined_total —
 // and the daemon keeps starting.
+//
+// The checkpoint codec — CheckpointFile, ValidateCells,
+// WriteCheckpoint, Quarantine — is shared with the fleet coordinator,
+// whose ".fleetckpt" files carry the same JSON.
 
 const (
 	checkpointSuffix = ".ckpt"
 	spoolSuffix      = ".json"
-	quarantineSuffix = ".quarantine"
+	// QuarantineSuffix is appended to a corrupt spool or checkpoint
+	// file's name when Quarantine renames it aside.
+	QuarantineSuffix = ".quarantine"
 )
 
-// checkpointFile is the on-disk form of a running job's progress.
-type checkpointFile struct {
+// CheckpointFile is the on-disk form of a running job's progress.
+type CheckpointFile struct {
 	// Spec is the job's normalized spec; the grid (and every cell seed)
 	// derives from it.
 	Spec JobSpec `json:"spec"`
 	// Cells lists the completed grid cells in grid-index order.
-	Cells []checkpointCell `json:"cells"`
+	Cells []CheckpointCell `json:"cells"`
 }
 
-// checkpointCell is one completed grid cell: its position, identity and
+// CheckpointCell is one completed grid cell: its position, identity and
 // the metrics snapshot the re-assembled payload will carry for it.
-type checkpointCell struct {
+type CheckpointCell struct {
 	Index   int              `json:"index"`
 	Name    string           `json:"name"`
 	Seed    int64            `json:"seed"`
@@ -163,33 +170,35 @@ func (s *Server) readmitCheckpoint(name string) (full bool, err error) {
 	if readErr != nil {
 		return false, fmt.Errorf("reading checkpoint: %w", readErr)
 	}
-	var cf checkpointFile
+	var cf CheckpointFile
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return false, fmt.Errorf("parsing checkpoint: %w", err)
 	}
-	completed, err := cf.validate()
+	norm, err := cf.Spec.Normalize()
+	if err != nil {
+		return false, fmt.Errorf("validating checkpointed spec: %w", err)
+	}
+	if norm.ID == "" {
+		return false, fmt.Errorf("checkpointed spec has no job ID")
+	}
+	cells, _, err := norm.compile()
+	if err != nil {
+		return false, fmt.Errorf("compiling checkpointed grid: %w", err)
+	}
+	completed, err := ValidateCells(cf.Cells, cells)
 	if err != nil {
 		return false, err
 	}
 	return s.readmit(cf.Spec, completed)
 }
 
-// validate checks a checkpoint's cells against the grid its spec
-// derives, returning the completed-cell map a resumed job starts from.
-func (cf checkpointFile) validate() (map[int]checkpointCell, error) {
-	norm, err := cf.Spec.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("validating checkpointed spec: %w", err)
-	}
-	if norm.ID == "" {
-		return nil, fmt.Errorf("checkpointed spec has no job ID")
-	}
-	cells, _, err := norm.compile()
-	if err != nil {
-		return nil, fmt.Errorf("compiling checkpointed grid: %w", err)
-	}
-	completed := make(map[int]checkpointCell, len(cf.Cells))
-	for _, cc := range cf.Cells {
+// ValidateCells checks checkpointed cells against the grid they claim
+// to come from: every index in range and unique, every name and seed
+// the grid's own. It returns the completed-cell map a resumed job
+// starts from.
+func ValidateCells(ckpt []CheckpointCell, cells []experiments.GridCell) (map[int]CheckpointCell, error) {
+	completed := make(map[int]CheckpointCell, len(ckpt))
+	for _, cc := range ckpt {
 		if cc.Index < 0 || cc.Index >= len(cells) {
 			return nil, fmt.Errorf("cell index %d outside grid of %d cells", cc.Index, len(cells))
 		}
@@ -210,7 +219,7 @@ func (cf checkpointFile) validate() (map[int]checkpointCell, error) {
 // any checkpointed cells. full=true means the queue rejected it with
 // backpressure (leave the file; stop re-admitting); an error means the
 // spec itself is unusable (quarantine it).
-func (s *Server) readmit(spec JobSpec, completed map[int]checkpointCell) (full bool, err error) {
+func (s *Server) readmit(spec JobSpec, completed map[int]CheckpointCell) (full bool, err error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return false, fmt.Errorf("validating spec: %w", err)
@@ -245,15 +254,22 @@ func (s *Server) readmit(spec JobSpec, completed map[int]checkpointCell) (full b
 // structured warning. The daemon keeps starting: a corrupt file costs
 // one job, not the whole service.
 func (s *Server) quarantine(name string, cause error) {
-	werr := fmt.Errorf("server: %w: %s: %v", errs.ErrSpoolCorrupt, name, cause)
-	path := filepath.Join(s.opt.SpoolDir, name)
-	if err := os.Rename(path, path+quarantineSuffix); err != nil {
-		werr = fmt.Errorf("%w (quarantine rename failed: %v)", werr, err)
-	}
+	werr := fmt.Errorf("server: %w", Quarantine(filepath.Join(s.opt.SpoolDir, name), cause))
 	s.mSpoolQuarantined.Inc()
 	s.mu.Lock()
 	s.spoolWarnings = append(s.spoolWarnings, werr)
 	s.mu.Unlock()
+}
+
+// Quarantine renames a corrupt spool or checkpoint file aside (path +
+// QuarantineSuffix) and returns the errs.ErrSpoolCorrupt warning that
+// records it, naming the file and the cause.
+func Quarantine(path string, cause error) error {
+	werr := fmt.Errorf("%w: %s: %v", errs.ErrSpoolCorrupt, filepath.Base(path), cause)
+	if err := os.Rename(path, path+QuarantineSuffix); err != nil {
+		werr = fmt.Errorf("%w (quarantine rename failed: %v)", werr, err)
+	}
+	return werr
 }
 
 // SpoolWarnings returns the structured warnings Start accumulated while
@@ -266,45 +282,48 @@ func (s *Server) SpoolWarnings() []error {
 	return append([]error(nil), s.spoolWarnings...)
 }
 
-// checkpointCells snapshots a job's completed cells in grid order.
-// Caller holds the server mutex.
-func checkpointCells(j *job) []checkpointCell {
-	cells := make([]checkpointCell, 0, len(j.completed))
-	for _, cc := range j.completed {
+// SortedCells lists completed cells in grid-index order, the order a
+// CheckpointFile records them in.
+func SortedCells(completed map[int]CheckpointCell) []CheckpointCell {
+	cells := make([]CheckpointCell, 0, len(completed))
+	for _, cc := range completed {
 		cells = append(cells, cc)
 	}
 	sort.Slice(cells, func(i, k int) bool { return cells[i].Index < cells[k].Index })
 	return cells
 }
 
-// writeCheckpoint atomically persists a job's checkpoint file (write to
-// a temp name, rename into place), so a crash mid-write never leaves a
-// truncated checkpoint where a valid one stood. Failures are recorded
-// as warnings, not job failures: losing a checkpoint costs resumability,
-// not correctness.
-func (s *Server) writeCheckpoint(spec JobSpec, cells []checkpointCell) {
-	record := func(err error) {
-		s.mu.Lock()
-		s.spoolWarnings = append(s.spoolWarnings, err)
-		s.mu.Unlock()
+// WriteCheckpoint atomically persists cf at path (write to a temp name,
+// rename into place), creating the directory if needed, so a crash
+// mid-write never leaves a truncated checkpoint where a valid one
+// stood.
+func WriteCheckpoint(path string, cf CheckpointFile) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+		return fmt.Errorf("creating spool dir: %w", err)
 	}
-	if err := os.MkdirAll(s.opt.SpoolDir, 0o777); err != nil {
-		record(fmt.Errorf("server: creating spool dir for checkpoint %q: %w", spec.ID, err))
-		return
-	}
-	data, err := json.MarshalIndent(checkpointFile{Spec: spec, Cells: cells}, "", "  ")
+	data, err := json.MarshalIndent(cf, "", "  ")
 	if err != nil {
-		record(fmt.Errorf("server: marshaling checkpoint %q: %w", spec.ID, err))
-		return
+		return fmt.Errorf("marshaling: %w", err)
 	}
-	path := filepath.Join(s.opt.SpoolDir, spec.ID+checkpointSuffix)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o666); err != nil {
-		record(fmt.Errorf("server: writing checkpoint %q: %w", spec.ID, err))
-		return
+		return fmt.Errorf("writing: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		record(fmt.Errorf("server: installing checkpoint %q: %w", spec.ID, err))
+		return fmt.Errorf("installing: %w", err)
+	}
+	return nil
+}
+
+// writeCheckpoint persists a job's checkpoint file. Failures are
+// recorded as warnings, not job failures: losing a checkpoint costs
+// resumability, not correctness.
+func (s *Server) writeCheckpoint(spec JobSpec, cells []CheckpointCell) {
+	path := filepath.Join(s.opt.SpoolDir, spec.ID+checkpointSuffix)
+	if err := WriteCheckpoint(path, CheckpointFile{Spec: spec, Cells: cells}); err != nil {
+		s.mu.Lock()
+		s.spoolWarnings = append(s.spoolWarnings, fmt.Errorf("server: checkpoint %q: %w", spec.ID, err))
+		s.mu.Unlock()
 		return
 	}
 	s.mCheckpoints.Inc()

@@ -38,9 +38,9 @@ func TestSpoolQuarantine(t *testing.T) {
 	writeSpoolFile(t, spool, "00000002-badspec.json", `{"id": "nogrid", "workloads": [], "policies": [], "topos": []}`)
 	writeSpoolFile(t, spool, "garbage.ckpt", "not json at all")
 	// Structurally valid checkpoint whose cell disagrees with its grid.
-	ckpt, err := json.Marshal(checkpointFile{
+	ckpt, err := json.Marshal(CheckpointFile{
 		Spec:  mustNormalize(t, smallSpec("liar")),
-		Cells: []checkpointCell{{Index: 0, Name: "wrong/cell/name", Seed: 1}},
+		Cells: []CheckpointCell{{Index: 0, Name: "wrong/cell/name", Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestSpoolQuarantine(t *testing.T) {
 	}
 	var quarantined []string
 	for _, name := range entries {
-		if strings.HasSuffix(name, quarantineSuffix) {
+		if strings.HasSuffix(name, QuarantineSuffix) {
 			quarantined = append(quarantined, name)
 		} else {
 			t.Errorf("unexpected non-quarantined spool entry %q", name)
@@ -135,7 +135,7 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading checkpoint: %v", err)
 	}
-	var cf checkpointFile
+	var cf CheckpointFile
 	if err := json.Unmarshal(data, &cf); err != nil {
 		t.Fatalf("parsing checkpoint: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestCheckpointPeriodicFlush(t *testing.T) {
 				observed <- flushState{err: err}
 				return
 			}
-			var cf checkpointFile
+			var cf CheckpointFile
 			if err := json.Unmarshal(data, &cf); err != nil {
 				observed <- flushState{err: err}
 				return
